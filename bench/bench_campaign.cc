@@ -1,11 +1,10 @@
 /**
  * @file
  * google-benchmark suite for the campaign engine: the persistent
- * work-stealing pool against the old spawn-per-call fork-join
- * parallelMap, cold- vs warm-cache load sweeps, and serial vs
- * speculative saturation search. These quantify the campaign-layer
- * claims in docs/HOTPATH.md; bench_microperf covers the per-cycle
- * simulation hot path.
+ * thread pool against the old spawn-per-call fork-join parallelMap,
+ * and cold- vs warm-cache load sweeps. These quantify the
+ * campaign-layer claims in docs/HOTPATH.md; bench_microperf covers
+ * the per-cycle simulation hot path.
  */
 
 #include <benchmark/benchmark.h>
@@ -186,45 +185,6 @@ BM_LoadSweep_WarmCache(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LoadSweep_WarmCache)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------
-// Saturation search: serial bisection vs speculative tree.
-// ---------------------------------------------------------------------
-
-void
-BM_SaturationSearch_Serial(benchmark::State &state)
-{
-    for (auto _ : state) {
-        // saturationLoad memoizes through the global cache; a private
-        // fresh cache per iteration would hide nothing here because
-        // the serial path IS the simulations. Use speculative with
-        // depth 1 and a fresh cache for an exact serial schedule.
-        sim::SimCache cache(256);
-        sim::CampaignOptions opt;
-        opt.cache = &cache;
-        opt.maxThreads = 1;
-        double sat = sim::saturationLoadSpeculative(
-            hirise64(), quickCfg(), uniform64(), 0.0, 0.5, 8, 1, opt);
-        benchmark::DoNotOptimize(sat);
-    }
-}
-BENCHMARK(BM_SaturationSearch_Serial)->Unit(benchmark::kMillisecond);
-
-void
-BM_SaturationSearch_Speculative(benchmark::State &state)
-{
-    ThreadPool pool(0);
-    for (auto _ : state) {
-        sim::SimCache cache(256);
-        sim::CampaignOptions opt;
-        opt.pool = &pool;
-        opt.cache = &cache;
-        double sat = sim::saturationLoadSpeculative(
-            hirise64(), quickCfg(), uniform64(), 0.0, 0.5, 8, 2, opt);
-        benchmark::DoNotOptimize(sat);
-    }
-}
-BENCHMARK(BM_SaturationSearch_Speculative)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -114,7 +114,7 @@ main(int argc, char **argv)
 #else
     benchmark::AddCustomContext("hirise_build_type", "debug");
 #endif
-    // Which kernel tier the run dispatched to (scalar/avx2/avx512), so
+    // Which kernel tier the run dispatched to (scalar/avx2), so
     // a baseline captured on one tier is never silently compared
     // against another (scripts/perf_smoke.py surfaces the field).
     benchmark::AddCustomContext(

@@ -12,6 +12,7 @@
  * Hi-Rise channel utilization when applicable.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +64,23 @@ usage()
         "  --load R                    packets/input/cycle\n"
         "  --warmup N --cycles N --seed N\n");
     std::exit(2);
+}
+
+/** Parse an offered load: a finite number >= 0 with nothing after it
+ *  (so "nan", "-1" and "abc" are rejected, not run as zero traffic). */
+double
+parseLoad(const char *s)
+{
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+        std::fprintf(stderr,
+                     "switch_sim_cli: --load must be a finite number "
+                     ">= 0, got '%s'\n",
+                     s);
+        usage();
+    }
+    return v;
 }
 
 Args
@@ -130,7 +148,7 @@ parse(int argc, char **argv)
         } else if (f == "--burst") {
             a.burstLen = std::atof(next(i));
         } else if (f == "--load") {
-            a.load = std::atof(next(i));
+            a.load = parseLoad(next(i));
         } else if (f == "--warmup") {
             a.warmup = std::atoll(next(i));
         } else if (f == "--cycles") {

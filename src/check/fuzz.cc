@@ -514,9 +514,7 @@ sampleConfig(Rng &rng)
     c.cfg.denseStepping = rng.below(2) == 1;
     // Tier axis: sampled over all compiled tiers; forceTier clamps to
     // the host's best at run time, so configs replay anywhere.
-    static constexpr simd::Tier kTiers[] = {
-        simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512};
-    c.tier = kTiers[u32(0, 2)];
+    c.tier = u32(0, 1) == 0 ? simd::Tier::Scalar : simd::Tier::Avx2;
 
     switch (u32(0, 9)) {
       case 4:
@@ -750,12 +748,6 @@ shrink(const DiffConfig &failing)
             return true;
         });
         add([](DiffConfig &d) {
-            if (d.tier != simd::Tier::Avx512)
-                return false;
-            d.tier = simd::Tier::Avx2;
-            return true;
-        });
-        add([](DiffConfig &d) {
             if (d.pattern == PatternKind::Uniform)
                 return false;
             d.pattern = PatternKind::Uniform;
@@ -887,11 +879,8 @@ toGtestRepro(const DiffConfig &c)
            << ";\n";
     if (c.batchReplicas >= 2)
         os << "    c.batchReplicas = " << c.batchReplicas << ";\n";
-    if (c.tier != simd::Tier::Scalar) {
-        os << "    c.tier = simd::Tier::"
-           << (c.tier == simd::Tier::Avx512 ? "Avx512" : "Avx2")
-           << ";\n";
-    }
+    if (c.tier != simd::Tier::Scalar)
+        os << "    c.tier = simd::Tier::Avx2;\n";
     if (!c.faults.empty()) {
         os << "    c.faults = {";
         for (std::size_t i = 0; i < c.faults.size(); ++i) {

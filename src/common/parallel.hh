@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel map over the persistent work-stealing pool (see
+ * Parallel map over the persistent thread pool (see
  * thread_pool.hh). Formerly a fork-join helper that spawned and
  * joined fresh std::threads per call; at campaign scale (thousands of
  * independent simulation runs per figure suite) that start-up cost

@@ -13,12 +13,6 @@ namespace {
 Tier
 hwTier()
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512vl"))
-        return Tier::Avx512;
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (__builtin_cpu_supports("avx2"))
         return Tier::Avx2;
@@ -36,19 +30,12 @@ clampTier(Tier t)
 Tier
 probeTier()
 {
-    // Legacy pin: HIRISE_SIMD_FORCE_SCALAR=1 predates the named knob
-    // and always wins (the forced-scalar CI job sets it).
-    if (const char *e = std::getenv("HIRISE_SIMD_FORCE_SCALAR");
-        e != nullptr && e[0] == '1')
-        return Tier::Scalar;
     if (const char *e = std::getenv("HIRISE_SIMD_FORCE_TIER");
         e != nullptr) {
         if (std::strcmp(e, "scalar") == 0)
             return Tier::Scalar;
         if (std::strcmp(e, "avx2") == 0)
             return clampTier(Tier::Avx2);
-        if (std::strcmp(e, "avx512") == 0)
-            return clampTier(Tier::Avx512);
         // Unknown value: fall through to the probe rather than
         // silently running a tier the user did not name.
     }
@@ -74,8 +61,9 @@ void
 forceTier(Tier t)
 {
     // Clamp to what build + host + environment can actually run, so a
-    // test asking for avx512 on an avx2 host degrades instead of
-    // faulting (and HIRISE_SIMD_FORCE_SCALAR still pins everything).
+    // test asking for avx2 on a scalar-only build or host degrades
+    // instead of faulting (and HIRISE_SIMD_FORCE_TIER=scalar still
+    // pins everything).
     tierSlot().store(t <= probeTier() ? t : probeTier(),
                      std::memory_order_relaxed);
 }
@@ -86,7 +74,6 @@ tierName(Tier t)
     switch (t) {
       case Tier::Scalar: return "scalar";
       case Tier::Avx2: return "avx2";
-      case Tier::Avx512: return "avx512";
     }
     return "?";
 }

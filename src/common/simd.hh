@@ -1,17 +1,17 @@
 /**
  * @file
  * Explicit SIMD kernels for the arbitration and batched-simulation
- * hot paths, with a scalar fallback that is always compiled and
- * runtime-dispatched AVX2 and AVX-512 tiers.
+ * hot paths, with a scalar fallback that is always compiled and a
+ * runtime-dispatched AVX2 tier.
  *
  * Build gating: the HIRISE_SIMD CMake option (ON by default) defines
  * HIRISE_SIMD_ENABLED; together with an x86-64 target that compiles
- * the AVX2 and AVX-512 bodies (per-function `target(...)` attributes,
- * so the rest of the binary stays portable). At runtime activeTier()
- * probes __builtin_cpu_supports once and caches the answer;
- * HIRISE_SIMD_FORCE_SCALAR=1 pins the scalar tier, and
- * HIRISE_SIMD_FORCE_TIER=scalar|avx2|avx512 pins any tier (clamped to
- * what build + host support) for same-host A/B runs.
+ * the AVX2 bodies (per-function `target("avx2")` attributes, so the
+ * rest of the binary stays portable). At runtime activeTier() probes
+ * __builtin_cpu_supports once and caches the answer;
+ * HIRISE_SIMD_FORCE_TIER=scalar|avx2 pins a tier (clamped to what
+ * build + host support) for same-host A/B runs. Any other value of
+ * HIRISE_SIMD_FORCE_TIER is ignored and the probe decides.
  *
  * Determinism contract: every kernel computes the exact same bits as
  * its scalar counterpart (same word ops, same splitmix64 scramble),
@@ -29,14 +29,8 @@
 #if defined(HIRISE_SIMD_ENABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define HIRISE_SIMD_AVX2_COMPILED 1
-#define HIRISE_SIMD_AVX512_COMPILED 1
 #include <immintrin.h>
 #endif
-
-/** Feature set every AVX-512 kernel compiles against and the runtime
- *  probe requires: foundation + DQ (64-bit vpmullq) + VL (256-bit
- *  forms for the 4-lane counter draw). */
-#define HIRISE_AVX512_TARGET "avx512f,avx512dq,avx512vl"
 
 namespace hirise::simd {
 
@@ -46,11 +40,10 @@ enum class Tier : std::uint8_t
 {
     Scalar = 0,
     Avx2 = 1,
-    Avx512 = 2,
 };
 
 /** Highest tier this build + host supports; resolved once per process
- *  (cpuid probe + HIRISE_SIMD_FORCE_* env checks, cached). */
+ *  (cpuid probe + HIRISE_SIMD_FORCE_TIER check, cached). */
 Tier activeTier();
 
 const char *tierName(Tier t);
@@ -60,18 +53,11 @@ const char *tierName(Tier t);
  *  concurrent kernel calls; call it between runs only. */
 void forceTier(Tier t);
 
-/** At least the AVX2 tier is active (AVX-512 implies AVX2: every
- *  256-bit kernel is valid on an AVX-512 host). */
+/** The AVX2 tier is active. */
 inline bool
 avx2()
 {
     return activeTier() >= Tier::Avx2;
-}
-
-inline bool
-avx512()
-{
-    return activeTier() >= Tier::Avx512;
 }
 
 // ---------------------------------------------------------------------
@@ -268,157 +254,13 @@ losingAnyAvx2(const Word *req, const Word *row, std::size_t n,
 
 #endif // HIRISE_SIMD_AVX2_COMPILED
 
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-
-// 512-bit variants process 8 words per step and finish odd tails with
-// masked loads/stores (masked-out lanes are architecturally never
-// touched, so reading right up to the array end is safe).
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-zeroWordsAvx512(Word *dst, std::size_t n)
-{
-    std::size_t k = 0;
-    const __m512i z = _mm512_setzero_si512();
-    for (; k + 8 <= n; k += 8)
-        _mm512_storeu_si512(dst + k, z);
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        _mm512_mask_storeu_epi64(dst + k, m, z);
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-copyWordsAvx512(Word *dst, const Word *src, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8)
-        _mm512_storeu_si512(dst + k, _mm512_loadu_si512(src + k));
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        _mm512_mask_storeu_epi64(
-            dst + k, m, _mm512_maskz_loadu_epi64(m, src + k));
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-andWordsAvx512(Word *dst, const Word *src, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-        _mm512_storeu_si512(
-            dst + k, _mm512_and_si512(_mm512_loadu_si512(dst + k),
-                                      _mm512_loadu_si512(src + k)));
-    }
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        _mm512_mask_storeu_epi64(
-            dst + k, m,
-            _mm512_and_si512(_mm512_maskz_loadu_epi64(m, dst + k),
-                             _mm512_maskz_loadu_epi64(m, src + k)));
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-orWordsAvx512(Word *dst, const Word *src, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-        _mm512_storeu_si512(
-            dst + k, _mm512_or_si512(_mm512_loadu_si512(dst + k),
-                                     _mm512_loadu_si512(src + k)));
-    }
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        _mm512_mask_storeu_epi64(
-            dst + k, m,
-            _mm512_or_si512(_mm512_maskz_loadu_epi64(m, dst + k),
-                            _mm512_maskz_loadu_epi64(m, src + k)));
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-andNotWordsAvx512(Word *dst, const Word *src, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-        // vpandnq computes ~a & b, so src is the first operand.
-        _mm512_storeu_si512(
-            dst + k, _mm512_andnot_si512(_mm512_loadu_si512(src + k),
-                                         _mm512_loadu_si512(dst + k)));
-    }
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        _mm512_mask_storeu_epi64(
-            dst + k, m,
-            _mm512_andnot_si512(_mm512_maskz_loadu_epi64(m, src + k),
-                                _mm512_maskz_loadu_epi64(m, dst + k)));
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline bool
-anyWordAvx512(const Word *src, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-        __m512i s = _mm512_loadu_si512(src + k);
-        if (_mm512_test_epi64_mask(s, s))
-            return true;
-    }
-    if (k < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - k)) - 1u);
-        __m512i s = _mm512_maskz_loadu_epi64(m, src + k);
-        if (_mm512_test_epi64_mask(s, s))
-            return true;
-    }
-    return false;
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline bool
-losingAnyAvx512(const Word *req, const Word *row, std::size_t n,
-                std::size_t self_word, Word self_mask)
-{
-    std::size_t w = 0;
-    while (w < n) {
-        const std::size_t rem = n - w;
-        const __mmask8 m =
-            rem >= 8 ? static_cast<__mmask8>(0xff)
-                     : static_cast<__mmask8>((1u << rem) - 1u);
-        __m512i r = _mm512_maskz_loadu_epi64(m, req + w);
-        __m512i p = _mm512_maskz_loadu_epi64(m, row + w);
-        __m512i losing = _mm512_andnot_si512(p, r);
-        if (self_word >= w && self_word < w + 8) {
-            alignas(64) Word sm[8] = {~Word(0), ~Word(0), ~Word(0),
-                                      ~Word(0), ~Word(0), ~Word(0),
-                                      ~Word(0), ~Word(0)};
-            sm[self_word - w] = ~self_mask;
-            losing = _mm512_and_si512(losing, _mm512_load_si512(sm));
-        }
-        if (_mm512_test_epi64_mask(losing, losing))
-            return true;
-        w += 8;
-    }
-    return false;
-}
-
-#endif // HIRISE_SIMD_AVX512_COMPILED
-
 // Dispatching fronts. The tier test is one cached load + predictable
 // branch; callers in per-candidate loops should hoist the tier test
-// themselves and call the *Scalar/*Avx2/*Avx512 variants directly.
+// themselves and call the *Scalar/*Avx2 variants directly.
 
 inline void
 zeroWords(Word *dst, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return zeroWordsAvx512(dst, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return zeroWordsAvx2(dst, n);
@@ -429,10 +271,6 @@ zeroWords(Word *dst, std::size_t n)
 inline void
 copyWords(Word *dst, const Word *src, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return copyWordsAvx512(dst, src, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return copyWordsAvx2(dst, src, n);
@@ -443,10 +281,6 @@ copyWords(Word *dst, const Word *src, std::size_t n)
 inline void
 andWords(Word *dst, const Word *src, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return andWordsAvx512(dst, src, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return andWordsAvx2(dst, src, n);
@@ -457,10 +291,6 @@ andWords(Word *dst, const Word *src, std::size_t n)
 inline void
 orWords(Word *dst, const Word *src, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return orWordsAvx512(dst, src, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return orWordsAvx2(dst, src, n);
@@ -471,10 +301,6 @@ orWords(Word *dst, const Word *src, std::size_t n)
 inline void
 andNotWords(Word *dst, const Word *src, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return andNotWordsAvx512(dst, src, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return andNotWordsAvx2(dst, src, n);
@@ -485,10 +311,6 @@ andNotWords(Word *dst, const Word *src, std::size_t n)
 inline bool
 anyWord(const Word *src, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return anyWordAvx512(src, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return anyWordAvx2(src, n);
@@ -500,10 +322,6 @@ inline bool
 losingAny(const Word *req, const Word *row, std::size_t n,
           std::size_t self_word, Word self_mask)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return losingAnyAvx512(req, row, n, self_word, self_mask);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return losingAnyAvx2(req, row, n, self_word, self_mask);
@@ -697,122 +515,10 @@ accumulateFlagsU64Avx2(std::uint64_t *acc, const std::uint8_t *flags,
 
 #endif // HIRISE_SIMD_AVX2_COMPILED
 
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline std::uint32_t
-gatherNonSentinelU32Avx512(const std::uint32_t *v, std::uint32_t n,
-                           std::uint32_t sentinel, std::uint32_t *out)
-{
-    std::uint32_t c = 0;
-    const __m512i sent =
-        _mm512_set1_epi32(static_cast<int>(sentinel));
-    __m512i idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                    11, 12, 13, 14, 15);
-    const __m512i step = _mm512_set1_epi32(16);
-    std::uint32_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m512i x = _mm512_loadu_si512(v + i);
-        __mmask16 keep = _mm512_cmpneq_epu32_mask(x, sent);
-        _mm512_mask_compressstoreu_epi32(out + c, keep, idx);
-        c += static_cast<std::uint32_t>(__builtin_popcount(keep));
-        idx = _mm512_add_epi32(idx, step);
-    }
-    for (; i < n; ++i) {
-        if (v[i] != sentinel)
-            out[c++] = i;
-    }
-    return c;
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline std::uint32_t
-minU32Avx512(const std::uint32_t *v, std::size_t n)
-{
-    __m512i acc = _mm512_set1_epi32(-1); // unsigned max
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16)
-        acc = _mm512_min_epu32(acc, _mm512_loadu_si512(v + i));
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        // Masked-out lanes stay at unsigned max so they never win.
-        acc = _mm512_min_epu32(
-            acc, _mm512_mask_loadu_epi32(_mm512_set1_epi32(-1), m,
-                                         v + i));
-    }
-    return _mm512_reduce_min_epu32(acc);
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-eqBitsU32Avx512(const std::uint32_t *v, std::size_t n,
-                std::uint32_t value, Word *out)
-{
-    for (std::size_t w = 0; w < (n + 63) / 64; ++w)
-        out[w] = 0;
-    const __m512i val = _mm512_set1_epi32(static_cast<int>(value));
-    std::size_t i = 0;
-    // i advances by 16, so a chunk's bits never straddle a word.
-    for (; i + 16 <= n; i += 16) {
-        __mmask16 bits =
-            _mm512_cmpeq_epu32_mask(_mm512_loadu_si512(v + i), val);
-        out[i / 64] |= Word(bits) << (i % 64);
-    }
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        __mmask16 bits = _mm512_mask_cmpeq_epu32_mask(
-            m, _mm512_maskz_loadu_epi32(m, v + i), val);
-        out[i / 64] |= Word(bits) << (i % 64);
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-halveU32Avx512(std::uint32_t *v, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        _mm512_storeu_si512(
-            v + i, _mm512_srli_epi32(_mm512_loadu_si512(v + i), 1));
-    }
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        _mm512_mask_storeu_epi32(
-            v + i, m,
-            _mm512_srli_epi32(_mm512_maskz_loadu_epi32(m, v + i), 1));
-    }
-}
-
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-accumulateFlagsU64Avx512(std::uint64_t *acc, const std::uint8_t *flags,
-                         std::size_t n, std::uint64_t scale)
-{
-    const __m512i sc =
-        _mm512_set1_epi64(static_cast<long long>(scale));
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i f = _mm512_cvtepu8_epi64(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(flags + i)));
-        __mmask8 on = _mm512_test_epi64_mask(f, f);
-        __m512i a = _mm512_loadu_si512(acc + i);
-        _mm512_storeu_si512(acc + i,
-                            _mm512_mask_add_epi64(a, on, a, sc));
-    }
-    for (; i < n; ++i) {
-        if (flags[i])
-            acc[i] += scale;
-    }
-}
-
-#endif // HIRISE_SIMD_AVX512_COMPILED
-
 inline std::uint32_t
 gatherNonSentinelU32(const std::uint32_t *v, std::uint32_t n,
                      std::uint32_t sentinel, std::uint32_t *out)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return gatherNonSentinelU32Avx512(v, n, sentinel, out);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return gatherNonSentinelU32Avx2(v, n, sentinel, out);
@@ -823,10 +529,6 @@ gatherNonSentinelU32(const std::uint32_t *v, std::uint32_t n,
 inline std::uint32_t
 minU32(const std::uint32_t *v, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return minU32Avx512(v, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return minU32Avx2(v, n);
@@ -838,10 +540,6 @@ inline void
 eqBitsU32(const std::uint32_t *v, std::size_t n, std::uint32_t value,
           Word *out)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return eqBitsU32Avx512(v, n, value, out);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return eqBitsU32Avx2(v, n, value, out);
@@ -852,10 +550,6 @@ eqBitsU32(const std::uint32_t *v, std::size_t n, std::uint32_t value,
 inline void
 halveU32(std::uint32_t *v, std::size_t n)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return halveU32Avx512(v, n);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return halveU32Avx2(v, n);
@@ -867,10 +561,6 @@ inline void
 accumulateFlagsU64(std::uint64_t *acc, const std::uint8_t *flags,
                    std::size_t n, std::uint64_t scale)
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return accumulateFlagsU64Avx512(acc, flags, n, scale);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return accumulateFlagsU64Avx2(acc, flags, n, scale);
@@ -903,8 +593,7 @@ counterDraw4Scalar(const Word keys[4], Word tick, Word out[4])
 #ifdef HIRISE_SIMD_AVX2_COMPILED
 
 /** 4x64-bit multiply by a broadcast constant; AVX2 has no 64-bit
- *  vpmullq (that is AVX-512DQ), so synthesize it from 32x32 partial
- *  products. */
+ *  vpmullq, so synthesize it from 32x32 partial products. */
 __attribute__((target("avx2"))) inline __m256i
 mullo64Avx2(__m256i a, __m256i b)
 {
@@ -936,40 +625,11 @@ counterDraw4Avx2(const Word keys[4], Word tick, Word out[4])
 
 #endif // HIRISE_SIMD_AVX2_COMPILED
 
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-
-/** AVX-512DQ+VL gives the native 64-bit multiply (vpmullq) the AVX2
- *  tier has to synthesize — same four lanes, fewer uops. */
-__attribute__((target(HIRISE_AVX512_TARGET))) inline void
-counterDraw4Avx512(const Word keys[4], Word tick, Word out[4])
-{
-    const Word add = kSplitmixGolden * tick + kSplitmixGolden;
-    __m256i x = _mm256_add_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(keys)),
-        _mm256_set1_epi64x(static_cast<long long>(add)));
-    x = _mm256_mullo_epi64(
-        _mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
-        _mm256_set1_epi64x(
-            static_cast<long long>(0xbf58476d1ce4e5b9ull)));
-    x = _mm256_mullo_epi64(
-        _mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
-        _mm256_set1_epi64x(
-            static_cast<long long>(0x94d049bb133111ebull)));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), x);
-}
-
-#endif // HIRISE_SIMD_AVX512_COMPILED
-
 /** Four draws of one tick across four lane keys; bit-identical to
  *  counterDrawKeyed on each lane in every tier. */
 inline void
 counterDraw4(const Word keys[4], Word tick, Word out[4])
 {
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    if (avx512())
-        return counterDraw4Avx512(keys, tick, out);
-#endif
 #ifdef HIRISE_SIMD_AVX2_COMPILED
     if (avx2())
         return counterDraw4Avx2(keys, tick, out);

@@ -1,14 +1,14 @@
 #include "common/thread_pool.hh"
 
+#include <atomic>
 #include <cstdlib>
 
 namespace hirise {
 
 namespace {
 
-/** Worker identity for nested-submit routing. */
+/** Pool whose worker the calling thread is, if any. */
 thread_local ThreadPool *t_pool = nullptr;
-thread_local unsigned t_idx = 0;
 
 std::atomic<unsigned> g_globalThreads{0};
 
@@ -31,25 +31,22 @@ defaultThreads()
 ThreadPool::ThreadPool(unsigned threads)
 {
     unsigned n = threads ? threads : defaultThreads();
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(sleepMu_);
-        stop_.store(true);
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
     }
     cv_.notify_all();
     for (auto &w : workers_)
         w.join();
-    // A task running during shutdown may have submitted follow-ups
-    // after the workers decided to exit; run them here so every
+    // A task run by a helping (non-worker) thread may have submitted
+    // follow-ups after the last worker left; run them here so every
     // future is satisfied.
     while (tryRunOne()) {}
 }
@@ -60,136 +57,61 @@ ThreadPool::onWorkerThread() const
     return t_pool == this;
 }
 
+std::uint64_t
+ThreadPool::pendingTasks() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return queue_.size();
+}
+
 void
 ThreadPool::push(Task t)
 {
-    if (t_pool == this) {
-        WorkerQueue &wq = *queues_[t_idx];
-        std::lock_guard<std::mutex> lk(wq.mu);
-        wq.q.push_back(std::move(t));
-    } else {
-        std::lock_guard<std::mutex> lk(injectMu_);
-        inject_.push_back(std::move(t));
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        queue_.push_back(std::move(t));
     }
-    pending_.fetch_add(1);
     cv_.notify_one();
 }
 
-void
-ThreadPool::requeueLocal(unsigned self, std::deque<Task> &&batch)
+ThreadPool::Task
+ThreadPool::popFront()
 {
-    if (batch.empty())
-        return;
-    std::size_t n = batch.size();
-    {
-        WorkerQueue &wq = *queues_[self];
-        std::lock_guard<std::mutex> lk(wq.mu);
-        for (auto &t : batch)
-            wq.q.push_back(std::move(t));
-    }
-    // Already counted in pending_; just make sure sleepers see them.
-    if (n > 1)
-        cv_.notify_all();
-}
-
-bool
-ThreadPool::acquire(unsigned self, Task &out)
-{
-    // 1. Own deque, LIFO end: newest work is cache-hot and keeps
-    //    nested fan-outs depth-first.
-    {
-        WorkerQueue &wq = *queues_[self];
-        std::lock_guard<std::mutex> lk(wq.mu);
-        if (!wq.q.empty()) {
-            out = std::move(wq.q.back());
-            wq.q.pop_back();
-            return true;
-        }
-    }
-    // 2. Shared injector queue, FIFO.
-    {
-        std::lock_guard<std::mutex> lk(injectMu_);
-        if (!inject_.empty()) {
-            out = std::move(inject_.front());
-            inject_.pop_front();
-            return true;
-        }
-    }
-    // 3. Steal half of a victim's deque from the FIFO end (the
-    //    oldest, largest-granularity work), starting at a
-    //    self-dependent offset to spread contention.
-    const unsigned n = static_cast<unsigned>(queues_.size());
-    for (unsigned d = 1; d < n; ++d) {
-        unsigned victim = (self + d) % n;
-        std::deque<Task> got;
-        {
-            WorkerQueue &vq = *queues_[victim];
-            std::lock_guard<std::mutex> lk(vq.mu);
-            std::size_t take = (vq.q.size() + 1) / 2;
-            for (std::size_t k = 0; k < take; ++k) {
-                got.push_back(std::move(vq.q.front()));
-                vq.q.pop_front();
-            }
-        }
-        if (!got.empty()) {
-            out = std::move(got.front());
-            got.pop_front();
-            requeueLocal(self, std::move(got));
-            return true;
-        }
-    }
-    return false;
+    Task t = std::move(queue_.front());
+    queue_.pop_front();
+    return t;
 }
 
 bool
 ThreadPool::tryRunOne()
 {
     Task t;
-    // Helpers (waiting callers, the destructor) have no own deque;
-    // drain the injector first, then any worker deque.
     {
-        std::lock_guard<std::mutex> lk(injectMu_);
-        if (!inject_.empty()) {
-            t = std::move(inject_.front());
-            inject_.pop_front();
-        }
+        std::lock_guard<std::mutex> lk(mu_);
+        if (queue_.empty())
+            return false;
+        t = popFront();
     }
-    if (!t) {
-        for (auto &qp : queues_) {
-            std::lock_guard<std::mutex> lk(qp->mu);
-            if (!qp->q.empty()) {
-                t = std::move(qp->q.front());
-                qp->q.pop_front();
-                break;
-            }
-        }
-    }
-    if (!t)
-        return false;
-    pending_.fetch_sub(1);
     t();
     return true;
 }
 
 void
-ThreadPool::workerLoop(unsigned idx)
+ThreadPool::workerLoop()
 {
     t_pool = this;
-    t_idx = idx;
     for (;;) {
         Task t;
-        if (acquire(idx, t)) {
-            pending_.fetch_sub(1);
-            t();
-            t = nullptr;
-            continue;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+            // Workers leave only once stopped *and* drained, so tasks
+            // queued by a running task during shutdown still run.
+            if (queue_.empty())
+                return;
+            t = popFront();
         }
-        std::unique_lock<std::mutex> lk(sleepMu_);
-        if (stop_.load() && pending_.load() == 0)
-            return;
-        cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
-            return stop_.load() || pending_.load() > 0;
-        });
+        t();
     }
 }
 

@@ -1,17 +1,14 @@
 /**
  * @file
- * Persistent work-stealing thread pool for campaign-scale experiment
- * execution. One pool outlives thousands of simulation tasks, so the
- * spawn/join cost of the former fork-join parallelMap (a fresh
- * std::thread per worker per call) is paid once per process instead
- * of once per sweep.
+ * Persistent thread pool for campaign-scale experiment execution. One
+ * pool outlives thousands of simulation tasks, so the spawn/join cost
+ * of the former fork-join parallelMap (a fresh std::thread per worker
+ * per call) is paid once per process instead of once per sweep.
  *
  * Design:
- *  - per-worker deques: a worker pushes/pops its own deque LIFO (hot
- *    caches, nested submits stay local); external submitters go
- *    through a shared injector queue.
- *  - steal-half: an idle worker takes half of a victim's deque FIFO,
- *    amortizing steal traffic under fan-out imbalance.
+ *  - one FIFO queue guarded by one mutex, and one condition variable
+ *    that idle workers block on. Every submit, from any thread, lands
+ *    at the back; workers and helpers take from the front.
  *  - futures + exception propagation: submit() returns a real
  *    std::future; an exception thrown by the task is rethrown by
  *    future::get() on the waiter's thread.
@@ -19,19 +16,19 @@
  *    a future, so nested submits cannot deadlock even on a 1-thread
  *    pool.
  *  - graceful shutdown: the destructor stops intake, wakes everyone,
- *    joins the workers, and drains any stragglers on the destructing
- *    thread, so every submitted task runs exactly once (no broken
- *    promises).
+ *    joins the workers once the queue is empty, and drains any
+ *    stragglers on the destructing thread, so every submitted task
+ *    runs exactly once (no broken promises).
  *
  * Determinism: the pool never reorders *results* — callers index
  * output slots by task id — so simulation campaigns are bit-identical
- * for any thread count or steal interleaving (see tests/campaign_test).
+ * for any thread count or execution interleaving (see
+ * tests/campaign_test).
  */
 
 #ifndef HIRISE_COMMON_THREAD_POOL_HH
 #define HIRISE_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -65,9 +62,9 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Enqueue @p fn; the returned future carries its result or
-     *  exception. Safe to call from worker threads (nested submit
-     *  lands on the submitting worker's own deque). */
+    /** Enqueue @p fn at the back of the queue; the returned future
+     *  carries its result or exception. Safe to call from worker
+     *  threads (nested submit). */
     template <typename Fn>
     auto
     submit(Fn &&fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>>
@@ -84,13 +81,9 @@ class ThreadPool
      *  any. Lets waiters (and tests) make progress without a worker. */
     bool tryRunOne();
 
-    /** Submitted-but-unfinished task count (approximate under
-     *  concurrency; exact once the pool is quiescent). */
-    std::uint64_t
-    pendingTasks() const
-    {
-        return pending_.load(std::memory_order_relaxed);
-    }
+    /** Queued-but-not-started task count, read under the queue lock:
+     *  always a queue length the pool really had. */
+    std::uint64_t pendingTasks() const;
 
     /** Is the calling thread one of this pool's workers? */
     bool onWorkerThread() const;
@@ -105,27 +98,17 @@ class ThreadPool
     static void setGlobalThreads(unsigned threads);
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<Task> q;
-    };
-
     void push(Task t);
-    /** Raw enqueue of already-counted tasks (steal-half re-queue). */
-    void requeueLocal(unsigned self, std::deque<Task> &&batch);
-    bool acquire(unsigned self, Task &out);
-    void workerLoop(unsigned idx);
+    /** Pop the front task; caller holds mu_ and the queue is
+     *  non-empty. */
+    Task popFront();
+    void workerLoop();
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::mutex injectMu_;
-    std::deque<Task> inject_;
-
-    std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> pending_{0};
-    std::atomic<bool> stop_{false};
-    std::mutex sleepMu_;
+    mutable std::mutex mu_;
     std::condition_variable cv_;
+    std::deque<Task> queue_;
+    bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 /**

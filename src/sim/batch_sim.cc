@@ -150,10 +150,8 @@ BatchSim::BatchSim(const SwitchSpec &spec, const SimConfig &base,
 
     satVirt_.assign(R_, 0);
     satQ_.resize(R_);
-    const bool legacy_pin =
-        base_.legacySatQueues || legacySatQueuesPinned();
     for (std::uint32_t r = 0; r < R_; ++r) {
-        if (legacy_pin || !allMemoryless_ ||
+        if (base_.legacySatQueues || !allMemoryless_ ||
             !VirtualSourceQueues::saturates(pts_[r].load))
             continue;
         satVirt_[r] = 1;

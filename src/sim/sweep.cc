@@ -212,93 +212,6 @@ saturationFlitsPerCycle(const SwitchSpec &spec, const SimConfig &base,
     return runAtLoadCached(spec, base, make, 1.0).acceptedFlitsPerCycle;
 }
 
-namespace {
-
-bool
-belowSaturation(const SimResult &r)
-{
-    return r.acceptedFlitsPerCycle >= 0.98 * r.offeredFlitsPerCycle;
-}
-
-/** Preorder layout (node, left subtree, right subtree) of every
- *  midpoint a depth-@p depth bisection could visit from (lo, hi),
- *  computed by the same 0.5*(lo+hi) recursion as the serial search so
- *  speculative and serial answers are bit-identical. */
-void
-speculationTree(double lo, double hi, int depth,
-                std::vector<double> &out)
-{
-    if (depth == 0)
-        return;
-    double mid = 0.5 * (lo + hi);
-    out.push_back(mid);
-    speculationTree(lo, mid, depth - 1, out); // "above saturation" arm
-    speculationTree(mid, hi, depth - 1, out); // "below saturation" arm
-}
-
-} // namespace
-
-double
-saturationLoad(const SwitchSpec &spec, const SimConfig &base,
-               const PatternFactory &make, double lo, double hi,
-               int iters)
-{
-    for (int i = 0; i < iters; ++i) {
-        double mid = 0.5 * (lo + hi);
-        SimResult r = runAtLoadCached(spec, base, make, mid);
-        if (belowSaturation(r))
-            lo = mid; // still below saturation
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
-}
-
-double
-saturationLoadSpeculative(const SwitchSpec &spec, const SimConfig &base,
-                          const PatternFactory &make, double lo,
-                          double hi, int iters, int spec_depth,
-                          const CampaignOptions &opt)
-{
-    spec_depth = std::max(spec_depth, 1);
-    std::vector<double> mids;
-    for (int done = 0; done < iters;) {
-        int d = std::min(spec_depth, iters - done);
-        mids.clear();
-        speculationTree(lo, hi, d, mids);
-        // The whole speculation tree is one point family, so its
-        // cache misses batch into BatchSim lanes instead of 2^d - 1
-        // independent scalar runs.
-        std::vector<RunPoint> tree(mids.size());
-        for (std::size_t i = 0; i < mids.size(); ++i)
-            tree[i] = RunPoint{mids[i], base.seed};
-        std::vector<SimResult> evals =
-            runPointsCached(spec, base, make, tree, opt);
-        std::vector<char> below(mids.size());
-        for (std::size_t i = 0; i < mids.size(); ++i)
-            below[i] = belowSaturation(evals[i]);
-
-        // Walk the verdicts down the preorder tree: a node's left
-        // subtree (taken when the midpoint saturates) directly follows
-        // it; the right subtree starts one full left-subtree later.
-        std::size_t pos = 0;
-        for (int level = 0; level < d; ++level) {
-            double mid = mids[pos];
-            std::size_t leftSize =
-                (std::size_t{1} << (d - level - 1)) - 1;
-            if (below[pos]) {
-                lo = mid;
-                pos += 1 + leftSize;
-            } else {
-                hi = mid;
-                pos += 1;
-            }
-        }
-        done += d;
-    }
-    return 0.5 * (lo + hi);
-}
-
 double
 toTbps(double flits_per_cycle, double freq_ghz, std::uint32_t flit_bits)
 {

@@ -4,11 +4,11 @@
  * NetworkSim; the measurement methodology behind Tables I/IV/V and
  * Figs 10/11.
  *
- * Campaign-scale runs (figure suites, seed sweeps, bisections) go
- * through the shared work-stealing pool (common/thread_pool.hh) and
- * the content-addressed result cache (sim/sim_cache.hh): every
- * evaluation is a pure function of (spec, cfg, pattern, seed), so
- * parallel and cached execution is bit-identical to serial execution.
+ * Campaign-scale runs (figure suites, seed sweeps) go through the
+ * shared thread pool (common/thread_pool.hh) and the
+ * content-addressed result cache (sim/sim_cache.hh): every evaluation
+ * is a pure function of (spec, cfg, pattern, seed), so parallel and
+ * cached execution is bit-identical to serial execution.
  */
 
 #ifndef HIRISE_SIM_SWEEP_HH
@@ -112,32 +112,6 @@ loadSweep(const SwitchSpec &spec, const SimConfig &base,
 double saturationFlitsPerCycle(const SwitchSpec &spec,
                                const SimConfig &base,
                                const PatternFactory &make);
-
-/**
- * Saturation offered load (packets/input/cycle): smallest load whose
- * accepted rate falls below 98% of offered, found by bisection. Used
- * for "80% of saturation" style experiments (Fig 11a).
- */
-double saturationLoad(const SwitchSpec &spec, const SimConfig &base,
-                      const PatternFactory &make, double lo = 0.0,
-                      double hi = 1.0, int iters = 12);
-
-/**
- * Speculative bisection: same answer as saturationLoad (bit-exact; the
- * midpoints are produced by the identical 0.5*(lo+hi) recursion), but
- * each round evaluates the full depth-@p spec_depth speculation tree
- * of candidate midpoints in parallel through the pool, then walks the
- * precomputed verdicts. Depth d retires d bisection steps per round
- * at the cost of 2^d - 1 simulations, cutting the critical path from
- * @p iters sequential sims to ceil(iters / d) rounds; with the shared
- * cache, repeated searches are nearly free.
- */
-double saturationLoadSpeculative(const SwitchSpec &spec,
-                                 const SimConfig &base,
-                                 const PatternFactory &make,
-                                 double lo = 0.0, double hi = 1.0,
-                                 int iters = 12, int spec_depth = 2,
-                                 const CampaignOptions &opt = {});
 
 /** Convert flits/cycle to Tbps at the given clock and flit width. */
 double toTbps(double flits_per_cycle, double freq_ghz,

@@ -337,15 +337,6 @@ TEST(NetworkSim, FullyFailedLayerPairDegradesGracefully)
     EXPECT_EQ(sim.totalInjectedPackets() * 4, sim.backlogFlits());
 }
 
-TEST(Sweep, SaturationLoadBisectionFindsKnee)
-{
-    double sat = saturationLoad(flat64(), quickCfg(0.0),
-                                uniformFactory(64), 0.0, 0.5, 8);
-    // 2D UR saturation ~ 0.667/4 ~ 0.167 packets/input/cycle.
-    EXPECT_GT(sat, 0.10);
-    EXPECT_LT(sat, 0.22);
-}
-
 TEST(Sweep, UnitConversions)
 {
     // 42.7 flits/cycle * 128 bits * 1.69 GHz = 9.24 Tbps.

@@ -1,14 +1,17 @@
 /**
  * @file
- * Work-stealing ThreadPool unit and stress tests: ordering-free
- * completion, nested submits (a task fanning out subtasks and helping
- * while it waits), exception propagation through futures, graceful
- * shutdown with queued work, and parallelMap built on top.
+ * ThreadPool unit and stress tests: ordering-free completion, nested
+ * submits (a task fanning out subtasks and helping while it waits),
+ * exception propagation through futures, graceful shutdown with
+ * queued work, a pending-count bound under racing producers, and
+ * parallelMap built on top.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +128,40 @@ TEST(ThreadPool, StressManyProducersManyTasks)
     for (auto &f : futs)
         waitHelping(pool, f);
     EXPECT_EQ(sum.load(), 5000ull * 4999ull / 2);
+}
+
+TEST(ThreadPool, PendingCountNeverExceedsSubmitted)
+{
+    // pendingTasks() is published as the daemon's pool_pending status
+    // field and the harness's queue-depth gauge. While producers and
+    // workers race it must stay a real queue length: never above the
+    // number of tasks submitted, never a transient wrap below zero.
+    constexpr unsigned kProducers = 4;
+    constexpr std::uint64_t kPerProducer = 5000;
+    ThreadPool pool(4);
+    std::atomic<bool> done{false};
+    std::uint64_t maxSeen = 0;
+    std::thread sampler([&] {
+        while (!done.load())
+            maxSeen = std::max(maxSeen, pool.pendingTasks());
+    });
+    std::vector<std::vector<std::future<void>>> futs(kProducers);
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&pool, &futs, p] {
+            for (std::uint64_t i = 0; i < kPerProducer; ++i)
+                futs[p].push_back(pool.submit([] {}));
+        });
+    }
+    for (auto &t : producers)
+        t.join();
+    for (auto &fs : futs)
+        for (auto &f : fs)
+            f.get();
+    done = true;
+    sampler.join();
+    EXPECT_LE(maxSeen, kProducers * kPerProducer);
+    EXPECT_EQ(pool.pendingTasks(), 0u);
 }
 
 TEST(ParallelMap, MatchesSerialForAnyThreadCount)
