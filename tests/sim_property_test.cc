@@ -27,6 +27,15 @@ struct Config
     double load;
 };
 
+// gtest otherwise prints the raw bytes of a Config, string pointers
+// included, and ctest bakes that text into the test names; print the
+// label so the names are the same from one build to the next.
+void
+PrintTo(const Config &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 SwitchSpec
 mk(Topology topo, std::uint32_t radix, std::uint32_t layers,
    std::uint32_t channels, ArbScheme arb,
