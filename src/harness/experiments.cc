@@ -295,10 +295,9 @@ fig10(const ExperimentOptions &opt)
                              pkt_per_cycle <= 0.25});
         }
     }
-    // One design's runnable cells form one point family, so cache
-    // misses run as multi-replica batches (sim::BatchSim) instead of
-    // independent scalar simulations; every lane is bit-identical to
-    // the per-cell run it replaces.
+    // One design's runnable cells form one point family: one
+    // runPointsCached call, whose cache misses fan out over the pool;
+    // results come back in cell order.
     std::vector<sim::SimResult> results(cells.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         std::vector<std::size_t> idx;
@@ -415,8 +414,8 @@ fig11b(const ExperimentOptions &opt)
                  std::min(load_pns / entries[e].freq, 1.0)});
         }
     }
-    // Per-design point families again: each scheme's load column
-    // batches its cache misses through sim::BatchSim.
+    // Per-design point families again: each scheme's load column is
+    // one runPointsCached call.
     std::vector<sim::SimResult> results(cells.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         std::vector<std::size_t> idx;

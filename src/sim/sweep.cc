@@ -24,7 +24,7 @@ batchReplicasFromEnv()
         if (end != s && *end == '\0' && v <= 64)
             return static_cast<std::uint32_t>(v);
     }
-    return 8;
+    return 1;
 }
 
 std::atomic<std::uint32_t> &
@@ -103,9 +103,10 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
     if (misses.empty())
         return results;
 
-    // Group the misses: batchable points (above the scalar core's
-    // heap-mode rate ceiling, batching enabled, no tracer armed) in
-    // chunks of up to B lanes, the rest as singleton scalar runs.
+    // Group the misses: singleton scalar runs, unless HIRISE_BATCH
+    // opted into BatchSim; then points above the scalar core's
+    // heap-mode rate ceiling (no tracer armed) go in chunks of up to
+    // B lanes.
     const std::uint32_t B = batchReplicas();
     const bool batching =
         B > 1 && !base.trace && BatchSim::usable();
@@ -182,8 +183,7 @@ loadSweep(const SwitchSpec &spec, const SimConfig &base,
 {
     // Each point is an independent, self-seeded simulation; the shard
     // seed (when enabled) depends only on (base seed, index), never on
-    // thread count or completion order. Cache misses run through the
-    // batched engine in groups (bit-identical to per-point runs).
+    // thread count or completion order.
     std::vector<RunPoint> pts(loads.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
         pts[i].load = loads[i];

@@ -48,7 +48,7 @@ struct SweepPoint
     SimResult result;
 };
 
-/** One cached evaluation request for the batched runner: a (load,
+/** One cached evaluation request for runPointsCached: a (load,
  *  seed) point of a common (spec, cfg, pattern) family. */
 struct RunPoint
 {
@@ -57,23 +57,24 @@ struct RunPoint
 };
 
 /**
- * Replica lanes per batched simulation (sim::BatchSim). Default 8,
- * overridable by the HIRISE_BATCH environment variable at process
- * start and by setBatchReplicas() (the harness --replicas flag).
- * A value of 0 or 1 disables batching: every point runs scalar.
+ * Replica lanes per batched simulation (sim::BatchSim). Default 1:
+ * every point runs on the scalar NetworkSim. HIRISE_BATCH=<n> at
+ * process start opts into n-lane BatchSim groups, for A/B runs only;
+ * setBatchReplicas() sets the same value from tests.
  */
 std::uint32_t batchReplicas();
 void setBatchReplicas(std::uint32_t replicas);
 
 /**
  * Evaluate many (load, seed) points of one (spec, cfg, pattern)
- * family, memoized through @p opt.cache. Cache misses are grouped
- * into BatchSim runs of up to batchReplicas() lanes; points at or
- * below NetworkSim::kInjHeapMaxRate, singleton groups, and runs under
- * an armed tracer fall back to scalar NetworkSim. Either engine
- * produces bit-identical SimResults (tests/batch_test.cc), so the
- * cache never observes which one served a point. Results are
- * index-ordered and deterministic for any thread count.
+ * family, memoized through @p opt.cache. Cache misses run on the
+ * scalar NetworkSim, one pool task each. With batchReplicas() > 1
+ * the misses above NetworkSim::kInjHeapMaxRate run instead as
+ * BatchSim groups of up to that many lanes, unless a tracer is
+ * armed. Either engine produces
+ * bit-identical SimResults (tests/batch_test.cc), so the cache never
+ * observes which one served a point. Results are index-ordered and
+ * deterministic for any thread count and input order.
  */
 std::vector<SimResult>
 runPointsCached(const SwitchSpec &spec, const SimConfig &base,

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/thread_pool.hh"
 #include "sim/network_sim.hh"
 #include "svc/json.hh"
 
@@ -111,6 +112,12 @@ runPointCheckpointed(const CampaignSpec &spec,
 
 } // namespace
 
+std::size_t
+defaultShardPoints()
+{
+    return std::size_t(ThreadPool::global().numThreads()) + 1;
+}
+
 CampaignOutcome
 runCampaign(const CampaignSpec &spec, const RunCampaignOptions &opt)
 {
@@ -129,9 +136,8 @@ runCampaign(const CampaignSpec &spec, const RunCampaignOptions &opt)
     if (checkpointed)
         desc = make()->descriptor();
 
-    std::size_t shard = opt.shardPoints;
-    if (shard == 0)
-        shard = std::max<std::size_t>(2 * sim::batchReplicas(), 2);
+    const std::size_t shard =
+        opt.shardPoints ? opt.shardPoints : defaultShardPoints();
 
     for (std::size_t first = 0; first < pts.size(); first += shard) {
         if (opt.cancelled && opt.cancelled()) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign execution for the service layer: evaluate a CampaignSpec's
- * (load, seed) grid through the shared SimCache + BatchSim path
+ * (load, seed) grid through the shared SimCache and thread pool
  * (sim::runPointsCached) and stream results back incrementally as
  * serialized JSON rows in deterministic point order.
  *
@@ -48,7 +48,7 @@ struct RunCampaignOptions
     std::string snapshotDir;
     /** Points per streaming shard: each shard runs through
      *  runPointsCached as one unit, then its rows are emitted and the
-     *  cancel flag is polled. 0 = default (2x batch lanes). */
+     *  cancel flag is polled. 0 = defaultShardPoints(). */
     std::size_t shardPoints = 0;
     /** Polled between shards (and between checkpoint slices on the
      *  checkpointed path); returning true abandons remaining work. */
@@ -59,6 +59,11 @@ struct RunCampaignOptions
                        std::vector<std::string> rows)>
         onRows;
 };
+
+/** The default shard: the global pool's workers plus the dispatcher
+ *  that helps them while it waits, so one shard keeps every
+ *  simulation thread busy. */
+std::size_t defaultShardPoints();
 
 struct CampaignOutcome
 {
@@ -73,7 +78,7 @@ struct CampaignOutcome
 /**
  * Evaluate @p spec's full grid in order, emitting rows shard by
  * shard. Points run through sim::runPointsCached (warm SimCache,
- * BatchSim grouping) unless the spec requests checkpointing, in which
+ * shared pool) unless the spec requests checkpointing, in which
  * case each point runs scalar with a snapshot saved every
  * spec.checkpointCycles cycles under opt.snapshotDir (resumed
  * automatically when a snapshot for the point already exists, deleted

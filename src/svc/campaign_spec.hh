@@ -69,8 +69,8 @@ struct CampaignSpec
     /** When > 0 (and the job has a snapshot dir), points run through
      *  the checkpointed scalar path: a PR-9 snapshot keyed per point
      *  is written every this-many cycles, so a killed daemon resumes
-     *  mid-point with bit-identical output. 0 = batched path, no
-     *  checkpoints. */
+     *  mid-point with bit-identical output. 0 = sim::runPointsCached,
+     *  no checkpoints. */
     std::uint64_t checkpointCycles = 0;
 
     /** Factory building a fresh pattern instance per run. */

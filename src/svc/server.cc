@@ -235,12 +235,14 @@ Server::dispatcherLoop()
         RunCampaignOptions ro;
         ro.cache = opt_.cache;
         ro.snapshotDir = opt_.snapshotDir;
-        ro.shardPoints = opt_.shardPoints;
+        const std::size_t shard = opt_.shardPoints ? opt_.shardPoints
+                                                   : defaultShardPoints();
+        ro.shardPoints = shard;
         ro.cancelled = [this, job] {
             return job->cancel.load() || stopDispatcher_;
         };
-        ro.onRows = [this, job, &m](std::size_t first,
-                                    std::vector<std::string> rows) {
+        ro.onRows = [this, job, &m, shard](std::size_t first,
+                                           std::vector<std::string> rows) {
             (void)first;
             {
                 std::lock_guard<std::mutex> lk(mu_);
@@ -249,10 +251,7 @@ Server::dispatcherLoop()
                 job->pointsDone = job->rows.size();
                 m.gauge("svc.points_inflight")
                     .set(double(std::min(
-                        opt_.shardPoints
-                            ? opt_.shardPoints
-                            : 2 * std::size_t(sim::batchReplicas()),
-                        job->pointsTotal - job->pointsDone)));
+                        shard, job->pointsTotal - job->pointsDone)));
             }
             wake();
         };

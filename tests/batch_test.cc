@@ -287,6 +287,14 @@ TEST(BatchSim, RunPointsCachedMatchesScalarAndPopulatesCache)
     const sim::SimConfig base = baseConfig();
     auto make = [&] { return makePattern(Pat::Uniform, spec.radix); };
 
+    // Batching is opt-in; pin 8 lanes for this test and restore after.
+    struct Lanes
+    {
+        std::uint32_t before = sim::batchReplicas();
+        Lanes() { sim::setBatchReplicas(8); }
+        ~Lanes() { sim::setBatchReplicas(before); }
+    } lanes;
+
     std::vector<sim::RunPoint> pts;
     // Spans both routing regimes: loads at/below the heap-rate ceiling
     // run scalar inside runPointsCached, the rest batch.

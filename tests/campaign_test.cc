@@ -2,9 +2,12 @@
  * @file
  * Campaign-engine determinism tests: the same load sweep, with shared
  * or sharded seeds, must produce bit-identical results for any pool
- * size (1, 2, 8).
+ * size (1, 2, 8), and runPointsCached's results must not depend on
+ * the order its points arrive in.
  */
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +128,56 @@ TEST(Campaign, ShardedSeedingIsThreadCountInvariant)
     for (std::size_t r = 1; r < runs.size(); ++r)
         for (std::size_t i = 0; i < loads.size(); ++i)
             expectBitIdentical(runs[r][i].result, runs[0][i].result);
+}
+
+TEST(Campaign, RunPointsCachedIsSubmissionOrderFree)
+{
+    // Whatever order the points arrive in, and on a serial loop or a
+    // 4-thread pool, result i must be the direct scalar run of point
+    // i: no byte may depend on the order work is submitted in.
+    const auto spec = hirise64(4);
+    const auto cfg = quickCfg();
+    const auto make = uniformFactory(64);
+    // Seeds 11.. tag the points; ref[seed - 11] is the direct run.
+    std::vector<sim::RunPoint> ascending;
+    std::vector<sim::SimResult> ref;
+    std::uint64_t seed = 11;
+    for (double load : {0.05, 0.1, 0.2, 0.4, 0.8, 1.0}) {
+        ascending.push_back({load, seed});
+        sim::SimConfig one = cfg;
+        one.seed = seed++;
+        ref.push_back(sim::runAtLoad(spec, one, make, load));
+    }
+
+    auto seedsOf = [](const std::vector<sim::RunPoint> &v) {
+        std::vector<std::uint64_t> out;
+        for (const auto &p : v)
+            out.push_back(p.seed);
+        return out;
+    };
+    std::vector<sim::RunPoint> descending(ascending.rbegin(),
+                                          ascending.rend());
+    std::vector<sim::RunPoint> shuffled = ascending;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(5));
+    ASSERT_NE(seedsOf(shuffled), seedsOf(ascending));
+    ASSERT_NE(seedsOf(shuffled), seedsOf(descending));
+
+    for (const auto *order : {&ascending, &descending, &shuffled}) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            ThreadPool pool(threads);
+            sim::SimCache cache(64);
+            sim::CampaignOptions opt;
+            opt.pool = &pool;
+            opt.cache = &cache;
+            opt.maxThreads = threads;
+            auto got = sim::runPointsCached(spec, cfg, make, *order, opt);
+            ASSERT_EQ(got.size(), order->size());
+            EXPECT_EQ(cache.stats().misses, order->size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                expectBitIdentical(got[i], ref[(*order)[i].seed - 11]);
+        }
+    }
 }
 
 } // namespace
