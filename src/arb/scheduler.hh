@@ -26,7 +26,7 @@
  * Fabric::advanceIdle). Schedulers may therefore advance per-call
  * state (round-robin pointers, the PIM draw tick, the wavefront
  * priority diagonal) inside match() and stay bit-identical across
- * dense, event-driven, and batched stepping. Each strategy has a
+ * dense and event-driven stepping. Each strategy has a
  * deliberately naive reference twin in src/check/oracle.cc whose
  * decision order must track this file operation for operation.
  *

@@ -64,12 +64,6 @@ struct DiffConfig
      *  a shared flag could never diverge). */
     sim::FaultSchedule faultSchedule;
     Mutation mutation = Mutation::None;
-    /** When >= 2 (and the mutation is off), a fourth pass runs this
-     *  many replica lanes through sim::BatchSim — lane 0 on the
-     *  config's own seed, lanes j > 0 on shardSeed(seed, j) — and
-     *  every lane must match its independent scalar run bit-exactly.
-     *  0 disables the pass. */
-    std::uint32_t batchReplicas = 0;
     /** SIMD dispatch tier forced for the differential runs (clamped
      *  to the best tier the build and host support, so sampled
      *  configs replay anywhere). Every tier must be bit-identical;
@@ -101,9 +95,7 @@ struct DiffOutcome
  * mutation is off, so the first pass defines a trusted result — the
  * optimized fabric again in the opposite stepping mode
  * (c.cfg.denseStepping flipped), whose SimResult must also match
- * bit-exactly. When @p c.batchReplicas >= 2 (mutation off), a fourth
- * pass runs that many lanes through the batched engine and compares
- * each against its own scalar run bit-exactly.
+ * bit-exactly.
  */
 DiffOutcome runDifferential(const DiffConfig &c);
 

@@ -58,9 +58,7 @@ counterKey(std::uint64_t seed, std::uint64_t lane)
     return splitmix64(seed ^ (0xd1b54a32d192ed03ull * (lane + 1)));
 }
 
-/** Per-tick stride of a counter stream (the splitmix64 increment).
- *  The batched 4-lane draw kernel (common/simd.hh counterDraw4) must
- *  reproduce key + kCounterTickMul * tick exactly. */
+/** Per-tick stride of a counter stream (the splitmix64 increment). */
 constexpr std::uint64_t kCounterTickMul = 0x9e3779b97f4a7c15ull;
 
 /** Raw 64-bit draw at @p tick of the stream keyed by @p key. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Explicit SIMD kernels for the arbitration and batched-simulation
- * hot paths, with a scalar fallback that is always compiled and a
+ * Explicit SIMD kernels for the arbitration and simulation hot
+ * paths, with a scalar fallback that is always compiled and a
  * runtime-dispatched AVX2 tier.
  *
  * Build gating: the HIRISE_SIMD CMake option (ON by default) defines
@@ -14,9 +14,9 @@
  * HIRISE_SIMD_FORCE_TIER is ignored and the probe decides.
  *
  * Determinism contract: every kernel computes the exact same bits as
- * its scalar counterpart (same word ops, same splitmix64 scramble),
- * so tier selection can never change a simulated outcome — only how
- * many lanes are processed per instruction. tests/bitvec_test.cc
+ * its scalar counterpart (same word ops), so tier selection can
+ * never change a simulated outcome — only how many lanes are
+ * processed per instruction. tests/bitvec_test.cc
  * compares the tiers word for word.
  */
 
@@ -566,75 +566,6 @@ accumulateFlagsU64(std::uint64_t *acc, const std::uint8_t *flags,
         return accumulateFlagsU64Avx2(acc, flags, n, scale);
 #endif
     accumulateFlagsU64Scalar(acc, flags, n, scale);
-}
-
-// ---------------------------------------------------------------------
-// Batched-transpose counter draws: the same tick evaluated across four
-// replica-lane stream keys at once (sim/batch_sim.cc injection plane).
-// ---------------------------------------------------------------------
-
-/** splitmix64 increment; counterDrawKeyed's per-tick multiplier is the
- *  same constant (common/random.hh). */
-constexpr Word kSplitmixGolden = 0x9e3779b97f4a7c15ull;
-
-/** Scalar reference: out[j] = counterDrawKeyed(keys[j], tick). */
-inline void
-counterDraw4Scalar(const Word keys[4], Word tick, Word out[4])
-{
-    const Word add = kSplitmixGolden * tick + kSplitmixGolden;
-    for (int j = 0; j < 4; ++j) {
-        Word x = keys[j] + add; // == splitmix64(key + golden*tick)
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        out[j] = x ^ (x >> 31);
-    }
-}
-
-#ifdef HIRISE_SIMD_AVX2_COMPILED
-
-/** 4x64-bit multiply by a broadcast constant; AVX2 has no 64-bit
- *  vpmullq, so synthesize it from 32x32 partial products. */
-__attribute__((target("avx2"))) inline __m256i
-mullo64Avx2(__m256i a, __m256i b)
-{
-    __m256i lo = _mm256_mul_epu32(a, b);
-    __m256i cross = _mm256_add_epi64(
-        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline void
-counterDraw4Avx2(const Word keys[4], Word tick, Word out[4])
-{
-    const Word add = kSplitmixGolden * tick + kSplitmixGolden;
-    __m256i x = _mm256_add_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(keys)),
-        _mm256_set1_epi64x(static_cast<long long>(add)));
-    x = mullo64Avx2(
-        _mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
-        _mm256_set1_epi64x(
-            static_cast<long long>(0xbf58476d1ce4e5b9ull)));
-    x = mullo64Avx2(
-        _mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
-        _mm256_set1_epi64x(
-            static_cast<long long>(0x94d049bb133111ebull)));
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), x);
-}
-
-#endif // HIRISE_SIMD_AVX2_COMPILED
-
-/** Four draws of one tick across four lane keys; bit-identical to
- *  counterDrawKeyed on each lane in every tier. */
-inline void
-counterDraw4(const Word keys[4], Word tick, Word out[4])
-{
-#ifdef HIRISE_SIMD_AVX2_COMPILED
-    if (avx2())
-        return counterDraw4Avx2(keys, tick, out);
-#endif
-    counterDraw4Scalar(keys, tick, out);
 }
 
 } // namespace hirise::simd

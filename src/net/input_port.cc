@@ -51,26 +51,14 @@ InputPort::fillFrom(const Packet &head)
 std::uint32_t
 InputPort::pickCandidateVc(const BitVec *dst_free)
 {
-    return pickCandidateVcWords(dst_free ? dst_free->words()
-                                         : nullptr);
-}
-
-std::uint32_t
-InputPort::pickCandidateVcWords(const BitVec::Word *dst_free)
-{
     sim_assert(!connected(), "busy input must not arbitrate");
     const std::uint32_t n = static_cast<std::uint32_t>(vcs_.size());
     for (std::uint32_t k = 0; k < n; ++k) {
         std::uint32_t v = (rrNext_ + k) % n;
         if (!vcs_[v].headReady())
             continue;
-        if (dst_free) {
-            std::uint32_t d = vcs_[v].front().dst;
-            if (!((dst_free[d / BitVec::kWordBits] >>
-                   (d % BitVec::kWordBits)) &
-                  1u))
-                continue;
-        }
+        if (dst_free && !dst_free->test(vcs_[v].front().dst))
+            continue;
         rrNext_ = (v + 1) % n;
         return v;
     }

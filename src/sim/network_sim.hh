@@ -109,10 +109,7 @@ class NetworkSim
     /** Above this per-input injection rate the event heap is skipped
      *  in favour of per-cycle polling (see injHeapOn_): the expected
      *  inter-injection gap is < 1/rate cycles, too short for the
-     *  O(log radix) heap churn per injection to pay off. Public so
-     *  the campaign layer routes points the same way: at or below
-     *  this rate the scalar core's heap + idle fast-forward beats the
-     *  batched per-cycle poll, so batching starts above it. */
+     *  O(log radix) heap churn per injection to pay off. */
     static constexpr double kInjHeapMaxRate = 0.125;
 
     NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,

@@ -56,25 +56,14 @@ struct RunPoint
     std::uint64_t seed = 0;
 };
 
-/**
- * Replica lanes per batched simulation (sim::BatchSim). Default 1:
- * every point runs on the scalar NetworkSim. HIRISE_BATCH=<n> at
- * process start opts into n-lane BatchSim groups, for A/B runs only;
- * setBatchReplicas() sets the same value from tests.
- */
-std::uint32_t batchReplicas();
-void setBatchReplicas(std::uint32_t replicas);
+// Exists only for e2ebench; goes in the next benchmark change.
+inline std::uint32_t batchReplicas() { return 1; }
 
 /**
  * Evaluate many (load, seed) points of one (spec, cfg, pattern)
  * family, memoized through @p opt.cache. Cache misses run on the
- * scalar NetworkSim, one pool task each. With batchReplicas() > 1
- * the misses above NetworkSim::kInjHeapMaxRate run instead as
- * BatchSim groups of up to that many lanes, unless a tracer is
- * armed. Either engine produces
- * bit-identical SimResults (tests/batch_test.cc), so the cache never
- * observes which one served a point. Results are index-ordered and
- * deterministic for any thread count and input order.
+ * scalar NetworkSim, one pool task each. Results are index-ordered
+ * and deterministic for any thread count and input order.
  */
 std::vector<SimResult>
 runPointsCached(const SwitchSpec &spec, const SimConfig &base,

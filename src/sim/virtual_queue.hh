@@ -1,7 +1,6 @@
 /**
  * @file
- * Virtual source queues: the saturated-injection fast path shared by
- * the scalar NetworkSim and the batched BatchSim engines.
+ * Virtual source queues: NetworkSim's saturated-injection fast path.
  *
  * At offered load >= 1 every Bernoulli draw passes
  * (bernoulliThreshold saturates at 2^53), so each participating input
@@ -18,7 +17,7 @@
  * Requires a memoryless pattern (injectAt/destAt are pure hashes of
  * (input, cycle, seed)); stateful patterns keep the legacy queued
  * path. Bit-identity with that path is enforced by
- * tests/sat_fastpath_test.cc and tests/batch_test.cc.
+ * tests/sat_fastpath_test.cc.
  */
 
 #ifndef HIRISE_SIM_VIRTUAL_QUEUE_HH
@@ -40,8 +39,7 @@ class VirtualSourceQueues
     /** True when @p load saturates the injection Bernoulli (every
      *  draw passes, i.e. load >= 1) — the precondition for the
      *  virtual-queue identity. The pattern must also be memoryless;
-     *  callers check that separately since BatchSim requires it
-     *  across all replicas. */
+     *  callers check that separately. */
     static bool
     saturates(double load)
     {

@@ -211,6 +211,8 @@ Server::dispatcherLoop()
 {
     auto &m = obs::MetricsRegistry::global();
     while (true) {
+        const std::size_t shard = opt_.shardPoints ? opt_.shardPoints
+                                                   : defaultShardPoints();
         std::shared_ptr<Job> job;
         {
             std::unique_lock<std::mutex> lk(mu_);
@@ -227,6 +229,8 @@ Server::dispatcherLoop()
             }
             job->state = Job::State::Running;
             running_ = job;
+            m.gauge("svc.points_inflight")
+                .set(double(std::min(shard, job->pointsTotal)));
             dispatcherIdle_.store(false);
             updateQueueMetrics();
         }
@@ -235,8 +239,6 @@ Server::dispatcherLoop()
         RunCampaignOptions ro;
         ro.cache = opt_.cache;
         ro.snapshotDir = opt_.snapshotDir;
-        const std::size_t shard = opt_.shardPoints ? opt_.shardPoints
-                                                   : defaultShardPoints();
         ro.shardPoints = shard;
         ro.cancelled = [this, job] {
             return job->cancel.load() || stopDispatcher_;
@@ -385,12 +387,17 @@ Server::opStatus(Conn &c)
     resp.set("ok", true);
 
     Json jobsArr = Json::array();
+    auto &m = obs::MetricsRegistry::global();
     std::size_t queueDepth = 0;
     bool busy = false;
+    double inflight = 0.0;
     {
+        // The dispatcher writes the inflight gauge under mu_, so this
+        // read agrees with the job states below.
         std::lock_guard<std::mutex> lk(mu_);
         queueDepth = queue_.size();
         busy = running_ != nullptr;
+        inflight = m.gauge("svc.points_inflight").value();
         for (const auto &j : jobs_) {
             Json row = Json::object();
             row.set("id", j->id);
@@ -410,13 +417,11 @@ Server::opStatus(Conn &c)
     }
     resp.set("jobs", std::move(jobsArr));
 
-    auto &m = obs::MetricsRegistry::global();
     sim::SimCache::Stats cs = cache.stats();
     Json metrics = Json::object();
     metrics.set("queue_depth", double(queueDepth));
     metrics.set("worker_busy", busy);
-    metrics.set("points_inflight",
-                m.gauge("svc.points_inflight").value());
+    metrics.set("points_inflight", inflight);
     metrics.set("cache_hits", double(cs.hits));
     metrics.set("cache_misses", double(cs.misses));
     metrics.set("cache_disk_hits", double(cs.diskHits));

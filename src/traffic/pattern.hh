@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "common/simd.hh"
 #include "common/snapshot.hh"
 
 namespace hirise::traffic {
@@ -78,19 +77,7 @@ class TrafficPattern
     virtual std::uint32_t destAt(std::uint32_t src, std::uint64_t cycle,
                                  std::uint64_t seed) = 0;
 
-    /**
-     * Batched destination draw for four consecutive sources of one
-     * replica of the batched engine (sim::BatchSim):
-     * out[j] = destAt(src0 + j, cycle, seed), where
-     * keys[j] = counterKey(seed, lane(src0 + j, kLaneDest)) is
-     * precomputed by the caller. The default loops destAt and is
-     * correct for every pattern; memoryless patterns whose destination
-     * is a pure function of the dest-lane draw override it to hash all
-     * four lanes per SIMD step. Overrides must stay bit-identical to
-     * four destAt calls (tests/batch_test.cc checks every pattern).
-     * @pre memoryless() — may be called for (src, cycle) pairs that do
-     * not inject, so it must be side-effect free.
-     */
+    // Exists only for e2ebench; goes in the next benchmark change.
     virtual void
     destRow4(std::uint32_t src0, std::uint64_t cycle,
              std::uint64_t seed, const std::uint64_t keys[4],
@@ -188,18 +175,6 @@ class UniformRandom : public TrafficPattern
             radix_ - 1));
         return d >= src ? d + 1 : d;
     }
-    void
-    destRow4(std::uint32_t src0, std::uint64_t cycle, std::uint64_t,
-             const std::uint64_t keys[4], std::uint32_t out[4]) override
-    {
-        std::uint64_t d[4];
-        simd::counterDraw4(keys, cycle, d);
-        for (std::uint32_t j = 0; j < 4; ++j) {
-            auto v = static_cast<std::uint32_t>(
-                counterBelow(d[j], radix_ - 1));
-            out[j] = v >= src0 + j ? v + 1 : v;
-        }
-    }
     double
     rateTo(std::uint32_t src, std::uint32_t dst) const override
     {
@@ -227,13 +202,6 @@ class Hotspot : public TrafficPattern
     destAt(std::uint32_t, std::uint64_t, std::uint64_t) override
     {
         return hot_;
-    }
-    void
-    destRow4(std::uint32_t, std::uint64_t, std::uint64_t,
-             const std::uint64_t[4], std::uint32_t out[4]) override
-    {
-        for (int j = 0; j < 4; ++j)
-            out[j] = hot_;
     }
     bool
     participates(std::uint32_t src) const override

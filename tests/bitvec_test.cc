@@ -260,30 +260,6 @@ TEST(Simd, LosingAnyMatchesBitLevelDominanceOnEveryTier)
     }
 }
 
-TEST(Simd, CounterDraw4MatchesKeyedDrawsOnEveryTier)
-{
-    // The 4-lane transpose kernel must reproduce counterDrawKeyed
-    // bit-for-bit on each lane (BatchSim's bit-identity rests on it).
-    simd::Word keys[4];
-    for (int j = 0; j < 4; ++j)
-        keys[j] = counterKey(42, static_cast<std::uint64_t>(j));
-    keys[3] = ~simd::Word(0); // exercise wraparound in key + add
-    for (std::uint64_t tick :
-         {0ull, 1ull, 2ull, 5499ull, 1ull << 40, ~0ull}) {
-        simd::Word want[4];
-        for (int j = 0; j < 4; ++j)
-            want[j] = counterDrawKeyed(keys[j], tick);
-        forEachTier([&](simd::Tier t) {
-            simd::Word got[4];
-            simd::counterDraw4(keys, tick, got);
-            for (int j = 0; j < 4; ++j)
-                EXPECT_EQ(got[j], want[j])
-                    << "lane " << j << " tick " << tick << " tier "
-                    << simd::tierName(t);
-        });
-    }
-}
-
 TEST(Simd, GatherNonSentinelMatchesScalarScanOnEveryTier)
 {
     // Odd lengths straddle the 8- and 16-lane vector widths; the
@@ -414,91 +390,5 @@ TEST(Simd, AccumulateFlagsMatchesScalarLoopOnEveryTier)
                         << " tier=" << simd::tierName(t);
             });
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// BitSpan (non-owning plane view over external words)
-// ---------------------------------------------------------------------
-
-TEST(BitSpan, OperatesOnMiddlePlaneWithoutBleed)
-{
-    // Three replica planes in one buffer, as BatchSim lays them out;
-    // every mutation of the middle plane must leave the guard planes'
-    // sentinel patterns untouched.
-    constexpr std::uint32_t kBits = 130, kWpr = 3;
-    std::vector<BitSpan::Word> buf(3 * kWpr, 0xa5a5a5a5a5a5a5a5ull);
-    BitSpan s(buf.data() + kWpr, kBits);
-    EXPECT_EQ(s.size(), kBits);
-    EXPECT_EQ(s.numWords(), kWpr);
-
-    s.clear();
-    EXPECT_TRUE(s.none());
-    for (std::uint32_t i : {0u, 63u, 64u, 127u, 128u, 129u}) {
-        EXPECT_FALSE(s.test(i));
-        s.set(i);
-        EXPECT_TRUE(s.test(i));
-    }
-    s.reset(64);
-    EXPECT_FALSE(s.test(64));
-    EXPECT_TRUE(s.any());
-
-    s.fill();
-    for (std::uint32_t i = 0; i < kBits; ++i)
-        EXPECT_TRUE(s.test(i));
-    // Tail bits of the plane's last word stay zero (130 = 2*64 + 2).
-    EXPECT_EQ(buf[kWpr + 2], BitSpan::Word(3));
-
-    for (std::uint32_t k = 0; k < kWpr; ++k) {
-        EXPECT_EQ(buf[k], 0xa5a5a5a5a5a5a5a5ull) << "low guard " << k;
-        EXPECT_EQ(buf[2 * kWpr + k], 0xa5a5a5a5a5a5a5a5ull)
-            << "high guard " << k;
-    }
-}
-
-TEST(BitSpan, ForEachSetSupportsResetOfCurrentBit)
-{
-    // The event-driven transfer phase drains bits while iterating;
-    // forEachSet copies each word, so resetting the visited bit is
-    // safe and every originally-set bit is still seen exactly once.
-    std::vector<BitSpan::Word> buf(4, 0);
-    BitSpan s(buf.data(), 200);
-    std::vector<std::uint32_t> want;
-    for (std::uint32_t i : {0u, 3u, 63u, 64u, 65u, 130u, 199u}) {
-        s.set(i);
-        want.push_back(i);
-    }
-    std::vector<std::uint32_t> seen;
-    s.forEachSet([&](std::uint32_t i) {
-        seen.push_back(i);
-        s.reset(i);
-    });
-    EXPECT_EQ(seen, want);
-    EXPECT_TRUE(s.none());
-}
-
-TEST(BitSpan, MatchesVectorBoolModelUnderRandomOps)
-{
-    for (std::uint32_t n : {1u, 63u, 64u, 65u, 257u}) {
-        std::vector<BitSpan::Word> buf((n + 63) / 64, 0);
-        BitSpan s(buf.data(), n);
-        std::vector<bool> m(n, false);
-        Rng rng(n);
-        for (int t = 0; t < 1500; ++t) {
-            std::uint32_t i = static_cast<std::uint32_t>(rng.below(n));
-            if (rng.bernoulli(0.5)) {
-                s.set(i);
-                m[i] = true;
-            } else {
-                s.reset(i);
-                m[i] = false;
-            }
-        }
-        bool anyModel = false;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            ASSERT_EQ(s.test(i), m[i]) << "n=" << n << " bit " << i;
-            anyModel = anyModel || m[i];
-        }
-        EXPECT_EQ(s.any(), anyModel);
     }
 }

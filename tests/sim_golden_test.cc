@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/batch_sim.hh"
 #include "sim/network_sim.hh"
 #include "traffic/pattern.hh"
 
@@ -181,83 +180,3 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Golden> &info) {
         return info.param.label;
     });
-
-// ---------------------------------------------------------------------
-// Batched-lane identity for the flat crossbar schedulers
-// ---------------------------------------------------------------------
-
-/** Stateful schedulers (iSLIP/PIM pointers and ticks, the wavefront
- *  diagonal) must also survive replica batching: a 3-lane BatchSim
- *  run of mixed (load, seed) points is bit-identical, lane for lane,
- *  to the scalar NetworkSim runs it replaces. The golden entries
- *  above pin event == dense; this pins event == batched. */
-TEST(SimGoldenBatch, SchedulerLanesMatchScalarRuns)
-{
-    struct Cfg
-    {
-        ArbScheme arb;
-        std::uint32_t iters;
-        std::uint64_t schedSeed;
-    };
-    const Cfg cfgs[] = {
-        {ArbScheme::Islip, 2, 0},
-        {ArbScheme::Pim, 2, 7},
-        {ArbScheme::Wavefront, 1, 0},
-    };
-    const sim::BatchPoint pts[] = {
-        {0.25, 12345}, {0.4, 999}, {0.1, 31}};
-
-    for (const Cfg &c : cfgs) {
-        SCOPED_TRACE(static_cast<int>(c.arb));
-        SwitchSpec spec;
-        spec.topo = Topology::Flat2D;
-        spec.radix = 64;
-        spec.arb = c.arb;
-        spec.schedIters = c.iters;
-        spec.schedSeed = c.schedSeed;
-
-        sim::SimConfig base;
-        base.warmupCycles = 500;
-        base.measureCycles = 2000;
-
-        std::vector<std::shared_ptr<traffic::TrafficPattern>> pats;
-        std::vector<sim::BatchPoint> points;
-        for (const auto &pt : pts) {
-            pats.push_back(
-                std::make_shared<traffic::UniformRandom>(64));
-            points.push_back(pt);
-        }
-        sim::BatchSim batch(spec, base, std::move(pats), points);
-        auto lanes = batch.run();
-        ASSERT_EQ(lanes.size(), 3u);
-
-        for (std::size_t r = 0; r < lanes.size(); ++r) {
-            SCOPED_TRACE("lane " + std::to_string(r));
-            sim::SimConfig cfg = base;
-            cfg.injectionRate = points[r].load;
-            cfg.seed = points[r].seed;
-            sim::NetworkSim s(
-                spec, cfg,
-                std::make_shared<traffic::UniformRandom>(64));
-            auto e = s.run();
-
-            EXPECT_DOUBLE_EQ(lanes[r].offeredFlitsPerCycle,
-                             e.offeredFlitsPerCycle);
-            EXPECT_DOUBLE_EQ(lanes[r].acceptedFlitsPerCycle,
-                             e.acceptedFlitsPerCycle);
-            EXPECT_DOUBLE_EQ(lanes[r].avgLatencyCycles,
-                             e.avgLatencyCycles);
-            EXPECT_DOUBLE_EQ(lanes[r].p99LatencyCycles,
-                             e.p99LatencyCycles);
-            EXPECT_DOUBLE_EQ(lanes[r].avgQueueingCycles,
-                             e.avgQueueingCycles);
-            EXPECT_EQ(lanes[r].packetsDelivered, e.packetsDelivered);
-            EXPECT_EQ(lanes[r].inFlightAtMeasureEnd,
-                      e.inFlightAtMeasureEnd);
-            EXPECT_DOUBLE_EQ(lanes[r].fairness, e.fairness);
-            EXPECT_EQ(lanes[r].perInputLatency, e.perInputLatency);
-            EXPECT_EQ(lanes[r].perInputThroughput,
-                      e.perInputThroughput);
-        }
-    }
-}

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <set>
@@ -25,7 +26,6 @@
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "sim/sim_cache.hh"
-#include "sim/sweep.hh"
 #include "svc/campaign.hh"
 #include "svc/campaign_spec.hh"
 #include "svc/client.hh"
@@ -415,49 +415,99 @@ TEST_F(ServerFixture, StatusReportsJobsAndMetrics)
     EXPECT_TRUE(m.has("bytes_streamed"));
 }
 
-TEST_F(ServerFixture, ShardDefaultDoesNotFollowBatchLanes)
+TEST_F(ServerFixture, ShardDefaultIsPoolThreadsPlusOne)
 {
     // The default shard is the global pool's workers plus the helping
     // dispatcher, and the points_inflight gauge reports it while a job
-    // runs, whatever the batch lane count.
+    // runs.
     const std::size_t shard = ThreadPool::global().numThreads() + 1;
+    EXPECT_EQ(svc::defaultShardPoints(), shard);
     auto &inflight =
         obs::MetricsRegistry::global().gauge("svc.points_inflight");
-    struct RestoreLanes
-    {
-        std::uint32_t before = sim::batchReplicas();
-        ~RestoreLanes() { sim::setBatchReplicas(before); }
-    } restore;
-    for (std::uint32_t lanes : {1u, 8u}) {
-        SCOPED_TRACE("lanes " + std::to_string(lanes));
-        sim::setBatchReplicas(lanes);
-        EXPECT_EQ(svc::defaultShardPoints(), shard);
 
-        // Twenty shards of fresh points (10 * shard loads x 2 seeds,
-        // new seeds per pass so nothing comes from the cache): the
-        // gauge reads shard from the first shard's rows until the last
-        // shard lands, then 0. Sample it as each row arrives.
-        Json doc = smallSpecDoc();
-        Json loads = Json::array();
-        for (std::size_t k = 0; k < 10 * shard; ++k)
-            loads.push(0.1 + 0.8 * double(k) / double(10 * shard));
-        doc.set("loads", loads);
-        Json seeds = Json::array();
-        seeds.push(int(100 + lanes));
-        seeds.push(int(200 + lanes));
-        doc.set("seeds", seeds);
-        doc.ref("sim").set("measure_cycles", 4000);
+    // Twenty shards of fresh points (10 * shard loads x 2 seeds): the
+    // gauge reads shard from the first shard's rows until the last
+    // shard lands, then 0. Sample it as each row arrives.
+    Json doc = smallSpecDoc();
+    Json loads = Json::array();
+    for (std::size_t k = 0; k < 10 * shard; ++k)
+        loads.push(0.1 + 0.8 * double(k) / double(10 * shard));
+    doc.set("loads", loads);
+    Json seeds = Json::array();
+    seeds.push(101);
+    seeds.push(201);
+    doc.set("seeds", seeds);
+    doc.ref("sim").set("measure_cycles", 4000);
 
-        auto c = connect();
-        ASSERT_NE(c, nullptr);
-        std::vector<std::string> rows;
-        std::set<double> seen;
-        submitAndCollect(*c, doc, &rows, nullptr,
-                         [&] { seen.insert(inflight.value()); });
-        EXPECT_EQ(rows.size(), 20 * shard);
-        seen.erase(0.0);
-        EXPECT_EQ(seen, std::set<double>{double(shard)});
+    auto c = connect();
+    ASSERT_NE(c, nullptr);
+    std::vector<std::string> rows;
+    std::set<double> seen;
+    submitAndCollect(*c, doc, &rows, nullptr,
+                     [&] { seen.insert(inflight.value()); });
+    EXPECT_EQ(rows.size(), 20 * shard);
+    seen.erase(0.0);
+    EXPECT_EQ(seen, std::set<double>{double(shard)});
+}
+
+TEST_F(ServerFixture, InflightGaugeCoversTheFirstShard)
+{
+    // A job that fits in one shard has every point in flight from the
+    // moment it starts running, before its first row. Checkpointing
+    // keeps the long point cancellable.
+    Json doc = smallSpecDoc();
+    std::string err;
+    ASSERT_TRUE(svc::applySpecOverride(&doc, "loads=[0.5]", &err));
+    ASSERT_TRUE(svc::applySpecOverride(&doc, "seeds=[301,302]", &err));
+    ASSERT_TRUE(
+        svc::applySpecOverride(&doc, "checkpoint_cycles=1000", &err));
+    doc.ref("sim").set("measure_cycles", 100000000);
+    ASSERT_LE(2u, svc::defaultShardPoints());
+
+    auto c = connect();
+    ASSERT_NE(c, nullptr);
+    Json req = Json::object();
+    req.set("op", "submit");
+    req.set("spec", doc);
+    Json resp;
+    ASSERT_TRUE(c->request(req, &resp, &err)) << err;
+    ASSERT_TRUE(resp["ok"].asBool()) << resp.dump();
+    const std::string id = resp["id"].asString();
+
+    bool sawRunning = false;
+    req = Json::object();
+    req.set("op", "status");
+    for (int poll = 0; poll < 30000 && !sawRunning; ++poll) {
+        ASSERT_TRUE(c->request(req, &resp, &err)) << err;
+        ASSERT_EQ(resp["jobs"].size(), 1u);
+        const Json &j = resp["jobs"].at(0);
+        const std::string state = j["state"].asString();
+        ASSERT_TRUE(state == "queued" || state == "running") << state;
+        if (state == "running") {
+            sawRunning = true;
+            EXPECT_EQ(j["done"].asNumber(), 0.0);
+            EXPECT_EQ(resp["metrics"]["points_inflight"].asNumber(),
+                      j["points"].asNumber());
+            EXPECT_EQ(j["points"].asNumber(), 2.0);
+        } else {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
     }
+    EXPECT_TRUE(sawRunning);
+
+    req = Json::object();
+    req.set("op", "cancel");
+    req.set("id", id);
+    ASSERT_TRUE(c->request(req, &resp, &err)) << err;
+    ASSERT_TRUE(resp["ok"].asBool()) << resp.dump();
+    req.set("op", "results");
+    ASSERT_TRUE(c->send(req, &err)) << err;
+    ASSERT_TRUE(c->recv(&resp, &err)) << err;
+    ASSERT_TRUE(resp["ok"].asBool());
+    std::vector<std::string> rows;
+    Json done = collectStream(*c, &rows);
+    EXPECT_EQ(done["state"].asString(), "cancelled");
+    EXPECT_TRUE(rows.empty());
 }
 
 // -- checkpointed path (direct runCampaign, no daemon needed) ---------
